@@ -4,7 +4,7 @@
 //! "very minimal").
 //!
 //! Every group runs once per slice kernel (`scalar` is the seed's log/exp
-//! reference; `table`, `word` and `simd` are the fast rungs), so the ids
+//! reference; `word` and `simd` are the fast rungs), so the ids
 //! read `rs_encode_7_4/word/1048576` and kernel-vs-kernel speedups can be
 //! read straight off one run. A striped-encode group benches the
 //! multi-threaded path at 1/2/4 workers. `cargo run -p sprout-bench --bin

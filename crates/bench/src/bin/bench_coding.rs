@@ -4,9 +4,9 @@
 //! `decode` (2 cache + 2 storage chunks) and `cache_chunks` (d = 2) — over a
 //! `kernel × size × threads` grid:
 //!
-//! * **kernel** — every slice-kernel rung (`scalar`, `table`, `word`,
-//!   `simd`), so the ladder's rung-over-rung speedup is tracked from one
-//!   JSON artifact. `SPROUT_KERNEL=<name>` restricts the axis to one rung.
+//! * **kernel** — every slice-kernel rung (`scalar`, `word`, `simd`), so
+//!   the ladder's rung-over-rung speedup is tracked from one JSON artifact.
+//!   `SPROUT_KERNEL=<name>` restricts the axis to one rung.
 //! * **size_bytes** — 64 KiB, 1 MiB and 8 MiB objects.
 //! * **threads** — 1 (the plain single-pass paths) or 2/4 (striped coding on
 //!   a scoped worker pool, 64 KiB stripes), measuring the multi-core payoff.

@@ -1,6 +1,6 @@
 //! The shared CLI + artifact harness of the figure/table reproducers.
 //!
-//! Every binary under `src/bin` is one [`SweepGrid`] (or
+//! Every binary under `src/bin` is one [`SweepGrid`](sprout::sim::sweep::SweepGrid) (or
 //! [`SimSweep`](sprout::SimSweep)) plus a cell task; this module supplies the
 //! parts they share:
 //!

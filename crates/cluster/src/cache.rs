@@ -14,7 +14,7 @@
 //!
 //! Capacity is tracked in bytes. [`Cache`] stores the payload chunks; all
 //! residency decisions and accounting delegate to the shared
-//! [`LruTier`](crate::tier::LruTier), the same implementation the simulation
+//! [`LruTier`], the same implementation the simulation
 //! engine drives — see [`crate::tier`]. Reads from the cache device are
 //! sampled from the SSD model but never queue — the paper argues cache-read
 //! latency is negligible compared to HDD OSD reads, and Table V confirms it.
@@ -65,15 +65,10 @@ impl CachePolicy {
     }
 }
 
-/// Statistics kept by the cache — the embedded tier's counters, re-exported
-/// under the cache's historical name.
-pub type CacheStats = TierStats;
-
 /// The cache tier of one compute server: payload chunks per resident object,
 /// with residency decided by the embedded [`LruTier`].
 #[derive(Debug, Clone)]
 pub struct Cache {
-    policy: CachePolicy,
     tier: LruTier,
     chunks: HashMap<u64, Vec<Chunk>>,
 }
@@ -86,20 +81,9 @@ impl Cache {
     /// Creates an empty cache with the given policy and byte capacity.
     pub fn new(policy: CachePolicy, capacity_bytes: u64) -> Self {
         Cache {
-            policy,
             tier: LruTier::new(capacity_bytes, policy.tier_replication()),
             chunks: HashMap::new(),
         }
-    }
-
-    /// The cache policy.
-    pub fn policy(&self) -> CachePolicy {
-        self.policy
-    }
-
-    /// Capacity in bytes.
-    pub fn capacity_bytes(&self) -> u64 {
-        self.tier.capacity()
     }
 
     /// Bytes currently occupied (LRU footprints include replication).
@@ -108,7 +92,7 @@ impl Cache {
     }
 
     /// Hit/miss/promotion/eviction counters.
-    pub fn stats(&self) -> CacheStats {
+    pub fn stats(&self) -> TierStats {
         self.tier.stats()
     }
 
@@ -154,9 +138,10 @@ impl Cache {
     /// outcome (victims and whether the object is now resident).
     pub fn promote_lru(&mut self, object: u64, chunks: Vec<Chunk>) -> Admission {
         let resident = self.chunks.contains_key(&object);
-        // The trait impl below keeps tier residency and victim payloads in
-        // sync; this carrier only adds the admitted object's payload.
-        let admission = CacheTier::admit(self, object, chunk_bytes(&chunks));
+        let admission = self.tier.admit(object, chunk_bytes(&chunks));
+        for victim in &admission.evicted {
+            self.chunks.remove(victim);
+        }
         if admission.admitted && !resident {
             self.chunks.insert(object, chunks);
         }
@@ -172,9 +157,9 @@ impl Cache {
         self.chunks.insert(object, chunks);
     }
 
-    /// Mirror of an eviction decided by an external tier; returns whether the
-    /// object was resident.
-    pub fn mirror_evict(&mut self, object: u64) -> bool {
+    /// Evicts an object, counting an eviction (the mirror of an eviction
+    /// decided by an external tier); returns whether it was resident.
+    pub fn evict(&mut self, object: u64) -> bool {
         self.chunks.remove(&object);
         self.tier.evict(object)
     }
@@ -190,52 +175,6 @@ impl Cache {
     pub fn clear(&mut self) {
         self.chunks.clear();
         self.tier.clear();
-    }
-}
-
-impl CacheTier for Cache {
-    fn capacity(&self) -> u64 {
-        self.tier.capacity()
-    }
-
-    fn used(&self) -> u64 {
-        self.tier.used()
-    }
-
-    fn replication(&self) -> u32 {
-        self.tier.replication()
-    }
-
-    fn contains(&self, object: u64) -> bool {
-        self.tier.contains(object)
-    }
-
-    fn touch(&mut self, object: u64) -> bool {
-        self.tier.touch(object)
-    }
-
-    /// Weight-only admission: reserves residency and evicts victims' payloads;
-    /// the payload of the admitted object is installed by
-    /// [`Cache::promote_lru`], the carrier everyone calls.
-    fn admit(&mut self, object: u64, weight: u64) -> Admission {
-        let admission = self.tier.admit(object, weight);
-        for victim in &admission.evicted {
-            self.chunks.remove(victim);
-        }
-        admission
-    }
-
-    fn evict(&mut self, object: u64) -> bool {
-        self.chunks.remove(&object);
-        self.tier.evict(object)
-    }
-
-    fn stats(&self) -> TierStats {
-        self.tier.stats()
-    }
-
-    fn resident_objects(&self) -> Vec<u64> {
-        self.tier.resident_objects()
     }
 }
 
@@ -309,7 +248,7 @@ mod tests {
         assert!(cache.peek(2).is_none(), "object 2 should have been evicted");
         assert!(cache.peek(1).is_some());
         assert!(cache.peek(3).is_some());
-        let resident = cache.resident_objects();
+        let resident = cache.tier.resident_objects();
         assert_eq!(resident.last(), Some(&3));
     }
 
@@ -339,32 +278,10 @@ mod tests {
         assert_eq!(cache.cached_chunk_count(1), 1);
         assert_eq!(cache.used_bytes(), 400, "bytes x replication");
         assert_eq!(cache.stats().promotions, 1);
-        assert!(cache.mirror_evict(1));
-        assert!(!cache.mirror_evict(1));
+        assert!(cache.evict(1));
+        assert!(!cache.evict(1));
         assert_eq!(cache.used_bytes(), 0);
         assert_eq!(cache.stats().evictions, 1);
-    }
-
-    #[test]
-    fn cache_tier_trait_is_implemented_by_the_cache() {
-        fn drive<T: CacheTier>(tier: &mut T) {
-            assert!(!tier.touch(9));
-            assert!(tier.admit(9, 10).admitted);
-            assert!(tier.touch(9));
-            assert!(tier.contains(9));
-            assert_eq!(tier.resident_objects(), vec![9]);
-            assert!(tier.evict(9));
-            assert_eq!(tier.used(), 0);
-        }
-        let mut cache = Cache::new(CachePolicy::ceph_baseline(), 1000);
-        drive(&mut cache);
-        assert_eq!(cache.replication(), 2);
-        // Weight-only admission evicts victims' payloads too.
-        assert!(cache.promote_lru(1, vec![chunk(0, 400)]).admitted);
-        let admission = CacheTier::admit(&mut cache, 2, 400);
-        assert!(admission.admitted);
-        assert_eq!(admission.evicted, vec![1]);
-        assert!(cache.peek(1).is_none(), "victim payload must be dropped");
     }
 
     #[test]
@@ -377,6 +294,6 @@ mod tests {
         assert_eq!(cache.used_bytes(), 100);
         cache.clear();
         assert_eq!(cache.used_bytes(), 0);
-        assert!(cache.resident_objects().is_empty());
+        assert!(cache.tier.resident_objects().is_empty());
     }
 }

@@ -1,10 +1,11 @@
-//! The lock-sharded store core: [`StoreHandle`], a cheaply clonable
-//! `Send + Sync` handle over the erasure-coded store's shared state.
+//! The erasure-coded object store: [`StoreHandle`], a cheaply clonable
+//! `Send + Sync` handle over the store's shared state.
 //!
-//! The single-threaded [`ErasureCodedStore`](crate::ErasureCodedStore) used
-//! to own every piece of store state directly; the serving path needs the
-//! same state shared across a worker pool without a single big lock. The
-//! interior is therefore sharded so independent requests never contend:
+//! `put` splits, encodes and places an object's chunks; `get` schedules
+//! chunk reads (respecting the cache), decodes and reports the request
+//! latency. The serving path shares one store across a worker pool without
+//! a single big lock, so the interior is sharded and independent requests
+//! never contend:
 //!
 //! * **Per-node locks** — each [`StorageNode`] (chunk map + FIFO queue
 //!   clock) sits behind its own `RwLock`. Two gets that read disjoint nodes
@@ -23,31 +24,35 @@
 //! * **Membership view** — a small `RwLock<ClusterView>` snapshot used for
 //!   placement decisions.
 //!
-//! Lock discipline: at most one node lock is held at a time, metadata
-//! stripe locks are only held around metadata mutation plus the node-map
-//! updates that must stay atomic with it (put/delete), and the cache lock
-//! is never taken while a node lock is held. No lock is held across a
-//! decode. That ordering (stripe → node → cache) is acyclic, so the
-//! structure cannot deadlock.
+//! Lock discipline: at most one node lock is held at a time, and the cache
+//! lock is never taken while a node lock is held. An object's metadata
+//! stripe lock covers every change that must be atomic with its version:
+//! put and delete hold the write guard across the node-map updates and the
+//! drop of the old cache entry, and [`StoreHandle::set_cached_chunks`]
+//! holds the read guard from the metadata lookup through the cache-chunk
+//! rebuild and install, so a plan swap can never cache chunks of a version
+//! a concurrent put already replaced. Gets decode with no lock held. That
+//! ordering (stripe → node → cache) is acyclic, so the structure cannot
+//! deadlock.
 //!
-//! Every method takes `&self`; service-time sampling takes the caller's RNG
-//! (`*_with_rng`) so the deterministic single-threaded wrapper keeps its
-//! historical draw order, while [`StoreHandle::get`] derives a per-request
-//! RNG from an atomic ticket for free-running concurrent callers.
+//! Every method takes `&self`. [`StoreHandle::get`] derives a per-request
+//! RNG from an atomic ticket, so concurrent readers never share RNG state
+//! and a single caller sees a deterministic latency sequence.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard};
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use sprout_erasure::{Chunk, CodeParams, FunctionalCacheCodec, Kernel};
 
-use crate::cache::{Cache, CachePolicy, CacheStats};
+use crate::cache::{Cache, CachePolicy};
 use crate::error::ClusterError;
 use crate::node::StorageNode;
 use crate::placement::{ClusterView, ObjectDesc, Placement};
 use crate::store::{ClusterConfig, ReadOutcome};
+use crate::tier::TierStats;
 
 /// Number of hash stripes the object-metadata map is split into. A small
 /// power of two: object ids are mixed before striping, so any id
@@ -97,9 +102,7 @@ struct StoreShared {
 /// A cheaply clonable, `Send + Sync` handle to a lock-sharded
 /// erasure-coded store.
 ///
-/// Cloning bumps one `Arc`; all clones observe the same cluster. The
-/// single-threaded [`ErasureCodedStore`](crate::ErasureCodedStore) is a
-/// thin wrapper over this type that adds a private RNG.
+/// Cloning bumps one `Arc`; all clones observe the same cluster.
 #[derive(Debug, Clone)]
 pub struct StoreHandle {
     shared: Arc<StoreShared>,
@@ -205,7 +208,7 @@ impl StoreHandle {
     }
 
     /// Cache statistics.
-    pub fn cache_stats(&self) -> CacheStats {
+    pub fn cache_stats(&self) -> TierStats {
         self.cache().stats()
     }
 
@@ -335,8 +338,8 @@ impl StoreHandle {
                 placement,
             },
         );
-        drop(stripe);
         self.cache().remove(object);
+        drop(stripe);
         Ok(())
     }
 
@@ -353,8 +356,8 @@ impl StoreHandle {
                     .remove_object(object);
             }
         }
-        drop(stripe);
         self.cache().remove(object);
+        drop(stripe);
     }
 
     /// Marks a storage node failed (offline) or recovered.
@@ -440,14 +443,20 @@ impl StoreHandle {
                 "set_cached_chunks requires the functional or exact cache policy".into(),
             ));
         }
-        let meta = self
-            .meta_of(object)
+        // The stripe read guard pins the object's version until the rebuilt
+        // chunks are installed: a racing put or delete waits for the write
+        // guard and then drops this entry, so stale chunks never survive.
+        let stripe = s.meta[stripe_of(object)]
+            .read()
+            .expect("meta stripe lock poisoned");
+        let meta = stripe
+            .get(&object)
             .ok_or(ClusterError::UnknownObject(object))?;
         if d == 0 {
             self.cache().remove(object);
             return Ok(());
         }
-        let available = self.gather_available(&meta, object);
+        let available = self.gather_available(meta, object);
         let chunks = match s.config.cache_policy {
             CachePolicy::Functional => s.codec.cache_chunks_from_chunks(&available, d)?,
             CachePolicy::Exact => {
@@ -478,30 +487,14 @@ impl StoreHandle {
         }
     }
 
-    /// Reads an object at virtual time `now` with a self-derived RNG stream.
-    ///
-    /// This is the concurrent serving entry point: each call draws a ticket
-    /// from an atomic counter and seeds an independent `StdRng` from it, so
-    /// parallel readers never share (or lock) RNG state. Latency samples are
-    /// therefore deterministic per *ticket*, not per wall-clock
-    /// interleaving. Single-threaded deterministic callers should use
-    /// [`get_with_rng`](Self::get_with_rng) (as the
-    /// [`ErasureCodedStore`](crate::ErasureCodedStore) wrapper does).
-    ///
-    /// # Errors
-    ///
-    /// See [`get_with_rng`](Self::get_with_rng).
-    pub fn get(&self, object: u64, now: f64) -> Result<ReadOutcome, ClusterError> {
-        let ticket = self.shared.ticket.fetch_add(1, Ordering::Relaxed);
-        let mut rng = StdRng::seed_from_u64(
-            self.shared.config.seed ^ REQUEST_RNG_SALT ^ ticket.wrapping_mul(0x9E37_79B9_7F4A_7C15),
-        );
-        self.get_with_rng(object, now, &mut rng)
-    }
-
     /// Reads an object at virtual time `now`, honouring the cache policy, and
     /// returns the reconstructed bytes together with the request latency.
-    /// Service times are sampled from `rng`.
+    ///
+    /// Each call draws a ticket from an atomic counter and seeds its own
+    /// `StdRng` from it, so parallel readers never share (or lock) RNG
+    /// state. Service-time samples are therefore deterministic per
+    /// *ticket*, not per wall-clock interleaving: a single caller sees the
+    /// same latencies on every run.
     ///
     /// # Errors
     ///
@@ -509,12 +502,11 @@ impl StoreHandle {
     /// * [`ClusterError::NotEnoughReplicas`] if node failures (or a racing
     ///   delete) leave fewer than `k` chunks reachable.
     /// * Propagated coding errors on reconstruction.
-    pub fn get_with_rng<R: Rng + ?Sized>(
-        &self,
-        object: u64,
-        now: f64,
-        rng: &mut R,
-    ) -> Result<ReadOutcome, ClusterError> {
+    pub fn get(&self, object: u64, now: f64) -> Result<ReadOutcome, ClusterError> {
+        let ticket = self.shared.ticket.fetch_add(1, Ordering::Relaxed);
+        let rng = &mut StdRng::seed_from_u64(
+            self.shared.config.seed ^ REQUEST_RNG_SALT ^ ticket.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+        );
         let s = &*self.shared;
         let meta = self
             .meta_of(object)
@@ -532,7 +524,7 @@ impl StoreHandle {
         // Cache-resident LRU objects (or fully functional-cached objects) are
         // served without touching storage.
         if cached.len() >= k {
-            let cache_latency = self.cache_read_latency_with(&cached[..k], rng);
+            let cache_latency = self.cache_read_latency(&cached[..k], rng);
             let data = s.codec.decode(&cached, meta.len)?;
             return Ok(ReadOutcome {
                 data,
@@ -600,7 +592,7 @@ impl StoreHandle {
             }
         }
         let storage_latency = finish - now;
-        let cache_latency = self.cache_read_latency_with(&cached, rng);
+        let cache_latency = self.cache_read_latency(&cached, rng);
         let latency = storage_latency.max(cache_latency);
 
         // 4. Reconstruct and verify — no lock held.
@@ -651,7 +643,7 @@ impl StoreHandle {
     /// decided by an external [`CacheTier`](crate::CacheTier). Returns
     /// whether it was resident.
     pub fn evict_cached(&self, object: u64) -> bool {
-        self.cache().mirror_evict(object)
+        self.cache().evict(object)
     }
 
     /// Drops every cache entry (e.g. when a scenario swaps the cache scheme
@@ -660,13 +652,8 @@ impl StoreHandle {
         self.cache().clear();
     }
 
-    /// Fork-join maximum of per-chunk cache-device reads, sampled from the
-    /// caller's RNG.
-    pub(crate) fn cache_read_latency_with<R: Rng + ?Sized>(
-        &self,
-        chunks: &[Chunk],
-        rng: &mut R,
-    ) -> f64 {
+    /// Fork-join maximum of per-chunk cache-device reads.
+    fn cache_read_latency(&self, chunks: &[Chunk], rng: &mut StdRng) -> f64 {
         chunks
             .iter()
             .map(|c| {
@@ -681,11 +668,13 @@ impl StoreHandle {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::device::DeviceModel;
 
-    fn handle(policy: CachePolicy) -> StoreHandle {
+    /// A (7,4) store on 8 exponential-service nodes with a 1 MB cache, shared
+    /// with the read/write-path tests in `store.rs`.
+    pub(crate) fn handle(policy: CachePolicy) -> StoreHandle {
         let config = ClusterConfig::builder()
             .nodes(8)
             .code(7, 4)

@@ -1,18 +1,13 @@
-//! The erasure-coded object store: write and read paths over the node,
-//! placement and cache substrates.
+//! The store's configuration ([`ClusterConfig`] and its builder) and the
+//! result of a read ([`ReadOutcome`]). The store itself is
+//! [`StoreHandle`](crate::StoreHandle); the unit tests below cover its
+//! single-caller write and read paths, and `handle.rs` its concurrency.
 
-use std::sync::{MutexGuard, RwLockReadGuard};
+use sprout_erasure::{Kernel, StripeOpts};
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use sprout_erasure::{Chunk, CodeParams, Kernel, StripeOpts};
-
-use crate::cache::{Cache, CachePolicy, CacheStats};
+use crate::cache::CachePolicy;
 use crate::device::DeviceModel;
-use crate::error::ClusterError;
-use crate::handle::StoreHandle;
-use crate::node::StorageNode;
-use crate::placement::{ClusterView, ObjectDesc, Placement, PlacementChoice};
+use crate::placement::PlacementChoice;
 
 /// Static description of a cluster.
 #[derive(Debug, Clone, PartialEq)]
@@ -155,15 +150,6 @@ impl ClusterConfigBuilder {
         self
     }
 
-    /// Sets the number of placement groups of the random-groups strategy.
-    #[deprecated(note = "use .placement(PlacementChoice::RandomGroups { groups: Some(g) })")]
-    pub fn placement_groups(&mut self, groups: usize) -> &mut Self {
-        self.placement = PlacementChoice::RandomGroups {
-            groups: Some(groups),
-        };
-        self
-    }
-
     /// Finalizes the configuration.
     pub fn build(&self) -> ClusterConfig {
         ClusterConfig {
@@ -200,236 +186,13 @@ pub struct ReadOutcome {
     pub nodes_used: Vec<usize>,
 }
 
-/// An in-memory erasure-coded object store with a pluggable cache tier.
-///
-/// Since the serving-path refactor this type is a thin single-threaded
-/// wrapper over [`StoreHandle`], the lock-sharded `Send + Sync` core: it
-/// adds a private seeded RNG and threads it through every sampling path in
-/// the store's historical draw order, so deterministic single-owner callers
-/// (the simulation engine, the figure suite) see byte-identical latencies
-/// and contents, while concurrent callers grab [`Self::handle`] and share
-/// the same cluster across threads.
-#[derive(Debug)]
-pub struct ErasureCodedStore {
-    handle: StoreHandle,
-    rng: StdRng,
-}
-
-impl ErasureCodedStore {
-    /// Creates an empty cluster.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClusterError::InvalidConfig`] for inconsistent parameters
-    /// (no nodes, `n > num_nodes`, device-list length mismatch) and
-    /// propagates invalid `(n, k)` pairs as [`ClusterError::Coding`].
-    pub fn new(config: ClusterConfig) -> Result<Self, ClusterError> {
-        let seed = config.seed;
-        let handle = StoreHandle::new(config)?;
-        Ok(ErasureCodedStore {
-            handle,
-            rng: StdRng::seed_from_u64(seed ^ 0xC0FF_EE00),
-        })
-    }
-
-    /// A `Send + Sync` handle sharing this store's state — the entry point
-    /// for concurrent callers (cloning is an `Arc` bump). Reads through the
-    /// handle's own [`StoreHandle::get`] draw from per-request RNG streams
-    /// and do not perturb this wrapper's deterministic sequence.
-    pub fn handle(&self) -> StoreHandle {
-        self.handle.clone()
-    }
-
-    /// The cluster configuration.
-    pub fn config(&self) -> &ClusterConfig {
-        self.handle.config()
-    }
-
-    /// The erasure-code parameters.
-    pub fn code_params(&self) -> CodeParams {
-        self.handle.code_params()
-    }
-
-    /// The GF(2^8) slice kernel the store's codec resolved to (the config's
-    /// pin, or [`Kernel::auto`]'s pick for this CPU).
-    pub fn coding_kernel(&self) -> Kernel {
-        self.handle.coding_kernel()
-    }
-
-    /// Number of stored objects.
-    pub fn num_objects(&self) -> usize {
-        self.handle.num_objects()
-    }
-
-    /// Read access to a storage node (a lock guard; hold it briefly).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the node id is out of range.
-    pub fn node(&self, id: usize) -> RwLockReadGuard<'_, StorageNode> {
-        self.handle.node(id)
-    }
-
-    /// Access to the cache tier (a lock guard; hold it briefly).
-    pub fn cache(&self) -> MutexGuard<'_, Cache> {
-        self.handle.cache()
-    }
-
-    /// Cache statistics.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.handle.cache_stats()
-    }
-
-    /// The nodes hosting an object's chunks (chunk row `i` on entry `i`).
-    pub fn object_placement(&self, object: u64) -> Option<Vec<usize>> {
-        self.handle.object_placement(object)
-    }
-
-    /// The stored length of an object in bytes.
-    pub fn object_len(&self, object: u64) -> Option<usize> {
-        self.handle.object_len(object)
-    }
-
-    /// The chunk of `object` hosted on `node` (the row the placement
-    /// assigns to that node), if the node holds it. Management path: no
-    /// queueing or latency accounting. The returned chunk shares the stored
-    /// payload (`Bytes` is refcounted), so this copies nothing.
-    pub fn chunk_on_node(&self, object: u64, node: usize) -> Option<Chunk> {
-        self.handle.chunk_on_node(object, node)
-    }
-
-    /// Decodes an object from caller-gathered chunks (any `k` distinct rows
-    /// of the extended code), trimming to the object's stored length.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClusterError::UnknownObject`] for unknown objects and
-    /// propagates coding errors (too few chunks, duplicate rows).
-    pub fn decode_with_chunks(
-        &self,
-        object: u64,
-        chunks: &[Chunk],
-    ) -> Result<Vec<u8>, ClusterError> {
-        self.handle.decode_with_chunks(object, chunks)
-    }
-
-    /// Writes an object, placing its `n` coded chunks via the placement map.
-    ///
-    /// # Errors
-    ///
-    /// Propagates coding errors.
-    pub fn put(&mut self, object: u64, data: &[u8]) -> Result<(), ClusterError> {
-        self.handle.put(object, data)
-    }
-
-    /// Writes an object onto an explicit list of `n` distinct nodes (used by
-    /// experiments that control placement, e.g. Fig. 6 of the paper).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClusterError::InvalidConfig`] if the placement list is not
-    /// `n` distinct, valid node ids; propagates coding errors.
-    pub fn put_with_placement(
-        &mut self,
-        object: u64,
-        data: &[u8],
-        placement: Vec<usize>,
-    ) -> Result<(), ClusterError> {
-        self.handle.put_with_placement(object, data, placement)
-    }
-
-    /// Deletes an object from the storage nodes and the cache.
-    pub fn delete(&mut self, object: u64) {
-        self.handle.delete(object);
-    }
-
-    /// Marks a storage node failed (offline) or recovered.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the node id is out of range.
-    pub fn set_node_online(&mut self, node: usize, online: bool) {
-        self.handle.set_node_online(node, online);
-    }
-
-    /// The placement strategy writes route through.
-    pub fn placement_strategy(&self) -> &dyn Placement {
-        self.handle.placement_strategy()
-    }
-
-    /// A snapshot of the store's current membership view (updated by
-    /// [`set_node_online`](Self::set_node_online)).
-    pub fn cluster_view(&self) -> ClusterView {
-        self.handle.cluster_view()
-    }
-
-    /// Descriptors of every stored object, sorted by id — the input
-    /// [`Placement::on_membership_change`] prices a rebalance against.
-    pub fn object_descs(&self) -> Vec<ObjectDesc> {
-        self.handle.object_descs()
-    }
-
-    /// Installs `d` planner-chosen chunks of an object into the cache
-    /// (functional or exact caching). `d = 0` removes the object's cache
-    /// entry. Chunk contents are rebuilt from the chunks currently on the
-    /// storage nodes, mirroring the paper's lazy population on first access.
-    ///
-    /// # Errors
-    ///
-    /// * [`ClusterError::InvalidConfig`] if the cache policy is not
-    ///   planner-managed or the chunks do not fit the cache.
-    /// * [`ClusterError::UnknownObject`] if the object does not exist.
-    /// * Propagated coding errors (e.g. `d > k`).
-    pub fn set_cached_chunks(&mut self, object: u64, d: usize) -> Result<(), ClusterError> {
-        self.handle.set_cached_chunks(object, d)
-    }
-
-    /// Reads an object at virtual time `now`, honouring the cache policy, and
-    /// returns the reconstructed bytes together with the request latency.
-    /// Samples from the store's own seeded RNG, in the same draw order as
-    /// before the handle refactor.
-    ///
-    /// # Errors
-    ///
-    /// * [`ClusterError::UnknownObject`] if the object was never written.
-    /// * [`ClusterError::NotEnoughReplicas`] if node failures leave fewer
-    ///   than `k` chunks reachable.
-    /// * Propagated coding errors on reconstruction.
-    pub fn get(&mut self, object: u64, now: f64) -> Result<ReadOutcome, ClusterError> {
-        self.handle.get_with_rng(object, now, &mut self.rng)
-    }
-
-    /// Promotes a whole object into the cache tier *unconditionally* — the
-    /// mirror of an admission decided by an external [`CacheTier`] (the
-    /// simulation engine's; see [`crate::tier`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClusterError::UnknownObject`] for unknown objects and
-    /// propagates decode errors when too few chunks survive.
-    ///
-    /// [`CacheTier`]: crate::CacheTier
-    pub fn promote_object(&mut self, object: u64) -> Result<(), ClusterError> {
-        self.handle.promote_object(object)
-    }
-
-    /// Evicts an object from the cache tier — the mirror of an eviction
-    /// decided by an external [`CacheTier`](crate::CacheTier). Returns
-    /// whether it was resident.
-    pub fn evict_cached(&mut self, object: u64) -> bool {
-        self.handle.evict_cached(object)
-    }
-
-    /// Drops every cache entry (e.g. when a scenario swaps the cache scheme
-    /// mid-run and the tier restarts cold).
-    pub fn reset_cache(&mut self) {
-        self.handle.reset_cache();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::ClusterError;
+    use crate::handle::tests::handle;
+    use crate::handle::StoreHandle;
+    use sprout_erasure::Chunk;
 
     fn payload(len: usize, seed: u8) -> Vec<u8> {
         (0..len)
@@ -437,21 +200,9 @@ mod tests {
             .collect()
     }
 
-    fn store(policy: CachePolicy) -> ErasureCodedStore {
-        let config = ClusterConfig::builder()
-            .nodes(8)
-            .code(7, 4)
-            .uniform_device(DeviceModel::exponential(0.010))
-            .cache_policy(policy)
-            .cache_capacity_bytes(1_000_000)
-            .seed(11)
-            .build();
-        ErasureCodedStore::new(config).unwrap()
-    }
-
     #[test]
     fn put_get_round_trip_without_cache() {
-        let mut s = store(CachePolicy::None);
+        let s = handle(CachePolicy::None);
         let data = payload(10_000, 1);
         s.put(1, &data).unwrap();
         assert_eq!(s.num_objects(), 1);
@@ -468,7 +219,7 @@ mod tests {
         // Defaults: kernel auto + striping on. Pin: scalar kernel, no
         // striping. Stored chunk bytes and read-back data must be identical.
         let data = payload(3 * 1024 * 1024 + 13, 7);
-        let mut fast = store(CachePolicy::None);
+        let fast = handle(CachePolicy::None);
         assert!(fast.config().striping.is_some(), "striping on by default");
         assert_eq!(fast.coding_kernel(), Kernel::auto());
         let pinned_config = ClusterConfig::builder()
@@ -481,7 +232,7 @@ mod tests {
             .coding_kernel(Some(Kernel::Scalar))
             .striping(None)
             .build();
-        let mut slow = ErasureCodedStore::new(pinned_config).unwrap();
+        let slow = StoreHandle::new(pinned_config).unwrap();
         assert_eq!(slow.coding_kernel(), Kernel::Scalar);
         fast.put(9, &data).unwrap();
         slow.put(9, &data).unwrap();
@@ -498,7 +249,7 @@ mod tests {
 
     #[test]
     fn unknown_object_is_an_error() {
-        let mut s = store(CachePolicy::None);
+        let s = handle(CachePolicy::None);
         assert_eq!(
             s.get(404, 0.0).unwrap_err(),
             ClusterError::UnknownObject(404)
@@ -507,7 +258,7 @@ mod tests {
 
     #[test]
     fn functional_cache_serves_part_of_the_read() {
-        let mut s = store(CachePolicy::Functional);
+        let s = handle(CachePolicy::Functional);
         let data = payload(20_000, 2);
         s.put(5, &data).unwrap();
         s.set_cached_chunks(5, 2).unwrap();
@@ -529,7 +280,7 @@ mod tests {
 
     #[test]
     fn exact_cache_excludes_hosts_of_cached_rows() {
-        let mut s = store(CachePolicy::Exact);
+        let s = handle(CachePolicy::Exact);
         let data = payload(8_000, 3);
         s.put(9, &data).unwrap();
         s.set_cached_chunks(9, 2).unwrap();
@@ -545,7 +296,7 @@ mod tests {
 
     #[test]
     fn lru_cache_promotes_on_miss_and_hits_afterwards() {
-        let mut s = store(CachePolicy::ceph_baseline());
+        let s = handle(CachePolicy::ceph_baseline());
         let data = payload(4_000, 4);
         s.put(77, &data).unwrap();
         let miss = s.get(77, 0.0).unwrap();
@@ -560,7 +311,7 @@ mod tests {
 
     #[test]
     fn node_failures_are_tolerated_up_to_n_minus_k() {
-        let mut s = store(CachePolicy::None);
+        let s = handle(CachePolicy::None);
         let data = payload(6_000, 5);
         s.put(3, &data).unwrap();
         let placement = s.object_placement(3).unwrap().to_vec();
@@ -582,7 +333,7 @@ mod tests {
 
     #[test]
     fn queueing_under_back_to_back_reads_increases_latency() {
-        let mut s = store(CachePolicy::None);
+        let s = handle(CachePolicy::None);
         let data = payload(50_000, 6);
         s.put(8, &data).unwrap();
         let first = s.get(8, 0.0).unwrap().latency;
@@ -602,7 +353,7 @@ mod tests {
 
     #[test]
     fn delete_removes_chunks_everywhere() {
-        let mut s = store(CachePolicy::Functional);
+        let s = handle(CachePolicy::Functional);
         let data = payload(5_000, 7);
         s.put(2, &data).unwrap();
         s.set_cached_chunks(2, 1).unwrap();
@@ -616,7 +367,7 @@ mod tests {
 
     #[test]
     fn explicit_placement_is_honoured_and_validated() {
-        let mut s = store(CachePolicy::None);
+        let s = handle(CachePolicy::None);
         let data = payload(3_000, 8);
         s.put_with_placement(1, &data, vec![0, 1, 2, 3, 4, 5, 6])
             .unwrap();
@@ -632,14 +383,14 @@ mod tests {
 
     #[test]
     fn set_cached_chunks_requires_planned_policy_and_known_object() {
-        let mut s = store(CachePolicy::ceph_baseline());
+        let s = handle(CachePolicy::ceph_baseline());
         let data = payload(1_000, 9);
         s.put(1, &data).unwrap();
         assert!(matches!(
             s.set_cached_chunks(1, 1),
             Err(ClusterError::InvalidConfig(_))
         ));
-        let mut s = store(CachePolicy::Functional);
+        let s = handle(CachePolicy::Functional);
         assert!(matches!(
             s.set_cached_chunks(1, 1),
             Err(ClusterError::UnknownObject(1))
@@ -656,27 +407,27 @@ mod tests {
         let mut builder = ClusterConfig::builder();
         let bad = builder.nodes(3).code(7, 4).build();
         assert!(matches!(
-            ErasureCodedStore::new(bad),
+            StoreHandle::new(bad),
             Err(ClusterError::InvalidConfig(_))
         ));
         let mut builder = ClusterConfig::builder();
         let mut cfg = builder.nodes(8).code(7, 4).build();
         cfg.devices.truncate(3);
         assert!(matches!(
-            ErasureCodedStore::new(cfg),
+            StoreHandle::new(cfg),
             Err(ClusterError::InvalidConfig(_))
         ));
         let mut builder = ClusterConfig::builder();
         let bad_code = builder.nodes(8).code(4, 7).build();
         assert!(matches!(
-            ErasureCodedStore::new(bad_code),
+            StoreHandle::new(bad_code),
             Err(ClusterError::Coding(_))
         ));
     }
 
     #[test]
     fn chunk_on_node_follows_the_placement() {
-        let mut s = store(CachePolicy::None);
+        let s = handle(CachePolicy::None);
         let data = payload(9_000, 12);
         s.put(4, &data).unwrap();
         assert_eq!(s.object_len(4), Some(9_000));
@@ -693,7 +444,7 @@ mod tests {
 
     #[test]
     fn decode_with_chunks_reconstructs_from_any_k_rows() {
-        let mut s = store(CachePolicy::None);
+        let s = handle(CachePolicy::None);
         let data = payload(11_000, 13);
         s.put(6, &data).unwrap();
         let placement = s.object_placement(6).unwrap().to_vec();
@@ -712,7 +463,7 @@ mod tests {
 
     #[test]
     fn stored_and_cached_chunks_share_payload_allocations() {
-        let mut s = store(CachePolicy::Exact);
+        let s = handle(CachePolicy::Exact);
         let data = payload(12_000, 14);
         s.put(8, &data).unwrap();
         s.set_cached_chunks(8, 2).unwrap();
@@ -737,7 +488,7 @@ mod tests {
 
     #[test]
     fn overwriting_an_object_replaces_its_contents() {
-        let mut s = store(CachePolicy::None);
+        let s = handle(CachePolicy::None);
         let first = payload(2_000, 10);
         let second = payload(3_000, 11);
         s.put(6, &first).unwrap();

@@ -1,5 +1,5 @@
 //! The byte-accurate simulation backend: the event loop of `sprout_sim`
-//! driving the real [`ErasureCodedStore`].
+//! driving the real [`StoreHandle`].
 //!
 //! The analytic backend treats chunks as abstract tokens; [`StoreBackend`]
 //! stores every object's actual coded bytes on the cluster substrate,
@@ -24,7 +24,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sprout_cluster::{CachePolicy, ClusterConfig, DeviceModel, ErasureCodedStore, Kernel};
+use sprout_cluster::{CachePolicy, ClusterConfig, DeviceModel, Kernel, StoreHandle};
 use sprout_erasure::Chunk;
 use sprout_queueing::dist::ServiceDistribution;
 use sprout_sim::{CacheScheme, ChunkBackend, FinishedRequest};
@@ -47,7 +47,7 @@ enum ServiceModel {
 /// A [`ChunkBackend`] over the in-memory erasure-coded object store.
 #[derive(Debug)]
 pub struct StoreBackend {
-    store: ErasureCodedStore,
+    store: StoreHandle,
     service: ServiceModel,
     rng: StdRng,
     originals: Vec<Vec<u8>>,
@@ -69,7 +69,7 @@ impl StoreBackend {
     /// `originals[file]` is the payload written for file `file` (object id
     /// `file as u64`), kept for reconstruction verification.
     pub fn new(
-        store: ErasureCodedStore,
+        store: StoreHandle,
         dists: Vec<ServiceDistribution>,
         originals: Vec<Vec<u8>>,
         seed: u64,
@@ -118,7 +118,7 @@ impl StoreBackend {
     }
 
     /// The underlying store (cache statistics, node contents, ...).
-    pub fn store(&self) -> &ErasureCodedStore {
+    pub fn store(&self) -> &StoreHandle {
         &self.store
     }
 
@@ -323,8 +323,8 @@ pub fn populate_store(
     placements: &[Vec<usize>],
     payloads: &[Vec<u8>],
     plan_counts: Option<&[usize]>,
-) -> Result<ErasureCodedStore, sprout_cluster::ClusterError> {
-    let mut store = ErasureCodedStore::new(config)?;
+) -> Result<StoreHandle, sprout_cluster::ClusterError> {
+    let store = StoreHandle::new(config)?;
     for (file, (placement, payload)) in placements.iter().zip(payloads).enumerate() {
         store.put_with_placement(file as u64, payload, placement.clone())?;
     }

@@ -757,7 +757,11 @@ mod tests {
     #[test]
     fn puts_through_the_daemon_record_checksums() {
         let store = handle(CachePolicy::None);
-        let daemon = Sproutd::start(store, ServeOpts::default().workers(2));
+        // One worker: the FIFO queue then runs every put before the get of
+        // the same object. With more workers a get can start while its put
+        // is still encoding and fail with `UnknownObject`; multi-worker
+        // verification is covered by the live-plan-swap test above.
+        let daemon = Sproutd::start(store, ServeOpts::default().workers(1));
         for object in 0..6u64 {
             let data = synthetic_payload(object as usize, 8_000, 9);
             assert!(daemon.submit_put(object, data));

@@ -303,7 +303,7 @@ impl SproutSystem {
 
     /// Builds a byte-accurate [`StoreBackend`](crate::backend::StoreBackend)
     /// for this system: every file's actual coded bytes are written onto an
-    /// [`sprout_cluster::ErasureCodedStore`] (object id = file index, the
+    /// [`sprout_cluster::StoreHandle`] (object id = file index, the
     /// system's resolved placements), and the plan's cache chunks are
     /// installed. Run it with [`Simulation::run_on`] against the simulation
     /// built by [`SproutSystem::simulation`] for the same policy and plan.

@@ -7,9 +7,9 @@
 //! This module provides the shared machinery:
 //!
 //! * [`StripeOpts`] — stripe length and worker-thread budget;
-//! * [`carve`] — chops a set of output buffers into per-stripe sets of
+//! * `carve` — chops a set of output buffers into per-stripe sets of
 //!   disjoint `&mut` sub-slices (no copying, no allocation per byte);
-//! * [`run_tasks`] — executes the per-stripe closures on a scoped thread
+//! * `run_tasks` — executes the per-stripe closures on a scoped thread
 //!   pool ([`std::thread::scope`]), workers taking contiguous stripe
 //!   batches.
 //!

@@ -83,7 +83,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         // encode / decode / cache_chunks must be byte-identical across every
-        // slice kernel (the word and table kernels are differentially tested
+        // slice kernel (the word and SIMD kernels are differentially tested
         // against the scalar reference end to end, not just per-slice).
         let d = d.min(k);
         let reference = FunctionalCacheCodec::with_kernel(
@@ -101,7 +101,7 @@ proptest! {
         let want_decoded = reference.decode(&have, file.len()).unwrap();
         prop_assert_eq!(&want_decoded, &file);
 
-        for kernel in [Kernel::Table, Kernel::Word] {
+        for kernel in [Kernel::Word, Kernel::Simd] {
             let codec = FunctionalCacheCodec::with_kernel(
                 CodeParams::new(n, k).unwrap(),
                 kernel,

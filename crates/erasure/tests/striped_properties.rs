@@ -5,7 +5,7 @@
 //! which are themselves proven byte-identical to the scalar reference in
 //! `coding_properties.rs` — for:
 //!
-//! * every kernel (scalar, table, word, simd);
+//! * every kernel (scalar, word, simd);
 //! * arbitrary file lengths, including 0, lengths below `k`, and lengths
 //!   whose chunk length is not a multiple of the 8-byte word or 32-byte
 //!   SIMD block;

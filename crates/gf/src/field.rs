@@ -1,4 +1,4 @@
-//! The field GF(2^8) = GF(2)[x] / (x^8 + x^4 + x^3 + x^2 + 1).
+//! The field GF(2^8) = GF(2)\[x\] / (x^8 + x^4 + x^3 + x^2 + 1).
 //!
 //! Elements are bytes. Addition is XOR; multiplication is carried out through
 //! discrete log / exponential tables built once at first use (the tables are

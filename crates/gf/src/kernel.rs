@@ -7,14 +7,12 @@
 //! * `dst[i]  = c * src[i]` — multiply–overwrite ([`mul_slice`]).
 //!
 //! The seed implementation walked both slices a byte at a time through the
-//! log/exp tables with a per-byte zero branch. This module layers four
+//! log/exp tables with a per-byte zero branch. This module layers three
 //! interchangeable kernels behind the [`Kernel`] enum so the fast paths can
 //! be differentially tested against the original loop:
 //!
 //! * [`Kernel::Scalar`] — the original byte-at-a-time log/exp loop, kept
 //!   verbatim as the reference implementation.
-//! * [`Kernel::Table`] — a branch-free byte loop through a per-coefficient
-//!   256-entry product table ([`MulTable::full`]).
 //! * [`Kernel::Word`] — the portable default: 8 bytes per step through
 //!   `u64` words using the bit-sliced broadcast technique (the scalar-safe
 //!   analogue of the SIMD kernels in Jerasure/ISA-L), with a table-driven
@@ -108,8 +106,6 @@ pub enum Kernel {
     /// Byte-at-a-time log/exp loop with a per-byte zero branch — the seed
     /// implementation, kept as the reference for differential testing.
     Scalar,
-    /// Branch-free byte loop through a 256-entry per-coefficient table.
-    Table,
     /// Bit-sliced `u64` kernel: 8 bytes per step, table-driven tail.
     ///
     /// The portable default: correct and fast on every target. Prefer
@@ -120,7 +116,7 @@ pub enum Kernel {
     /// `vpshufb` when available): 16 or 32 bytes per step, word-kernel tail.
     ///
     /// Selected instructions are detected at runtime
-    /// ([`simd::simd_level`](crate::simd::simd_level)); on hardware without
+    /// ([`simd::simd_level`]); on hardware without
     /// SSSE3 — or with `SPROUT_DISABLE_SIMD` set — this rung transparently
     /// runs the [`Kernel::Word`] path, so it is always safe to pick.
     Simd,
@@ -129,13 +125,12 @@ pub enum Kernel {
 impl Kernel {
     /// Every kernel, in reference-first order (useful for differential tests
     /// and benchmarks).
-    pub const ALL: [Kernel; 4] = [Kernel::Scalar, Kernel::Table, Kernel::Word, Kernel::Simd];
+    pub const ALL: [Kernel; 3] = [Kernel::Scalar, Kernel::Word, Kernel::Simd];
 
     /// Stable lower-case name (used in benchmark ids and JSON output).
     pub fn name(self) -> &'static str {
         match self {
             Kernel::Scalar => "scalar",
-            Kernel::Table => "table",
             Kernel::Word => "word",
             Kernel::Simd => "simd",
         }
@@ -157,7 +152,6 @@ impl Kernel {
     pub fn from_name(name: &str) -> Option<Kernel> {
         match name.trim().to_ascii_lowercase().as_str() {
             "scalar" => Some(Kernel::Scalar),
-            "table" => Some(Kernel::Table),
             "word" => Some(Kernel::Word),
             "simd" => Some(Kernel::Simd),
             "auto" => Some(Kernel::auto()),
@@ -207,12 +201,6 @@ pub fn mul_acc_slice(kernel: Kernel, coeff: Gf256, src: &[u8], dst: &mut [u8]) {
     }
     match kernel {
         Kernel::Scalar => scalar_mul_acc(coeff, src, dst),
-        Kernel::Table => {
-            let t = MulTable::for_coeff(coeff);
-            for (d, s) in dst.iter_mut().zip(src.iter()) {
-                *d ^= t.full[*s as usize];
-            }
-        }
         Kernel::Word => word_mul_acc(MulTable::for_coeff(coeff), src, dst),
         Kernel::Simd => {
             let t = MulTable::for_coeff(coeff);
@@ -251,12 +239,6 @@ pub fn mul_slice(kernel: Kernel, coeff: Gf256, src: &[u8], dst: &mut [u8]) {
             dst.fill(0);
             scalar_mul_acc(coeff, src, dst);
         }
-        Kernel::Table => {
-            let t = MulTable::for_coeff(coeff);
-            for (d, s) in dst.iter_mut().zip(src.iter()) {
-                *d = t.full[*s as usize];
-            }
-        }
         Kernel::Word => word_mul(MulTable::for_coeff(coeff), src, dst),
         Kernel::Simd => {
             let t = MulTable::for_coeff(coeff);
@@ -278,8 +260,9 @@ pub fn scale_slice(kernel: Kernel, coeff: Gf256, buf: &mut [u8]) {
     match kernel {
         Kernel::Scalar => scalar_scale(coeff, buf),
         // Scaling runs on matrix rows (k × k elements), never on bulk chunk
-        // data, so the table loop is plenty for every fast rung.
-        Kernel::Table | Kernel::Word | Kernel::Simd => {
+        // data, so a byte loop through the product table is plenty for every
+        // fast rung.
+        Kernel::Word | Kernel::Simd => {
             let t = MulTable::for_coeff(coeff);
             for b in buf.iter_mut() {
                 *b = t.full[*b as usize];
@@ -390,7 +373,7 @@ mod tests {
             let coeff = Gf256::new(c);
             let mut want = vec![0x5Au8; src.len()];
             mul_acc_slice(Kernel::Scalar, coeff, &src, &mut want);
-            for kernel in [Kernel::Table, Kernel::Word, Kernel::Simd] {
+            for kernel in [Kernel::Word, Kernel::Simd] {
                 let mut got = vec![0x5Au8; src.len()];
                 mul_acc_slice(kernel, coeff, &src, &mut got);
                 assert_eq!(got, want, "mul_acc {kernel} c={c}");
@@ -413,10 +396,10 @@ mod tests {
     #[test]
     fn kernel_names_and_display() {
         assert_eq!(Kernel::default(), Kernel::Word);
-        assert_eq!(Kernel::ALL.len(), 4);
+        assert_eq!(Kernel::ALL.len(), 3);
         assert_eq!(Kernel::ALL[0], Kernel::Scalar);
         assert_eq!(Kernel::Scalar.name(), "scalar");
-        assert_eq!(Kernel::Table.to_string(), "table");
+        assert_eq!(Kernel::from_name("table"), None, "the table rung is gone");
         assert_eq!(Kernel::Word.to_string(), "word");
         assert_eq!(Kernel::Simd.to_string(), "simd");
     }

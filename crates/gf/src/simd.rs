@@ -12,7 +12,7 @@
 //! and both 16-entry tables fit exactly in one SIMD register, so a single
 //! byte-shuffle instruction (`pshufb` / `vpshufb`) performs sixteen (SSSE3)
 //! or thirty-two (AVX2) table lookups at once. The per-coefficient `lo`/`hi`
-//! tables are the ones [`MulTable`](crate::MulTable) already carries for the
+//! tables are the ones [`MulTable`] already carries for the
 //! word kernel's tail, so this module adds no table state of its own.
 //!
 //! The functions here process only the SIMD-block-aligned *prefix* of a

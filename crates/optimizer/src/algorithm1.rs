@@ -106,38 +106,7 @@ impl Optimizer {
     }
 }
 
-/// Runs Algorithm 1 starting from the default (no-cache, uniform-scheduling)
-/// initial point.
-///
-/// # Errors
-///
-/// See [`Optimizer::run`].
-#[deprecated(note = "use Optimizer::new(config).run(model, cache_capacity)")]
-pub fn optimize(
-    model: &StorageModel,
-    cache_capacity: usize,
-    config: &OptimizerConfig,
-) -> Result<CachePlan, OptimizerError> {
-    run_from(model, cache_capacity, config, &uniform_initial_pi(model))
-}
-
-/// Runs Algorithm 1 from a caller-supplied starting point.
-///
-/// # Errors
-///
-/// See [`Optimizer::run`].
-#[deprecated(note = "use Optimizer::new(config).warm_start_pi(pi).run(model, cache_capacity)")]
-pub fn optimize_from(
-    model: &StorageModel,
-    cache_capacity: usize,
-    config: &OptimizerConfig,
-    initial_pi: &[Vec<f64>],
-) -> Result<CachePlan, OptimizerError> {
-    run_from(model, cache_capacity, config, initial_pi)
-}
-
-/// The shared implementation behind [`Optimizer::run`] and the deprecated
-/// free functions.
+/// The implementation behind [`Optimizer::run`].
 fn run_from(
     model: &StorageModel,
     cache_capacity: usize,
@@ -261,10 +230,6 @@ fn finalize(
 
 #[cfg(test)]
 mod tests {
-    // The deprecated free functions stay under test as shims over the same
-    // implementation the `Optimizer` entry point uses.
-    #![allow(deprecated)]
-
     use super::*;
     use crate::model::FileModel;
     use sprout_queueing::dist::ServiceDistribution;
@@ -287,11 +252,18 @@ mod tests {
         StorageModel::new(nodes, files).unwrap()
     }
 
+    /// Algorithm 1 from the default starting point and configuration.
+    fn cold_plan(m: &StorageModel, capacity: usize) -> CachePlan {
+        Optimizer::new(OptimizerConfig::default())
+            .run(m, capacity)
+            .unwrap()
+    }
+
     #[test]
     fn cache_capacity_is_respected_and_fully_used_when_beneficial() {
         let m = model(6, 0.02);
         for capacity in [0usize, 1, 3, 6, 12] {
-            let plan = optimize(&m, capacity, &OptimizerConfig::default()).unwrap();
+            let plan = cold_plan(&m, capacity);
             let used = plan.cache_chunks_used();
             assert!(used <= capacity, "capacity {capacity}: used {used}");
             // every cached chunk count is within [0, k_i]
@@ -312,7 +284,7 @@ mod tests {
         let m = model(8, 0.012);
         let mut prev = f64::INFINITY;
         for capacity in [0usize, 2, 4, 8, 16] {
-            let plan = optimize(&m, capacity, &OptimizerConfig::default()).unwrap();
+            let plan = cold_plan(&m, capacity);
             assert!(
                 plan.objective <= prev + 0.05,
                 "latency should not increase materially with more cache: {prev} -> {}",
@@ -325,7 +297,7 @@ mod tests {
     #[test]
     fn full_cache_gives_zero_latency() {
         let m = model(4, 0.02);
-        let plan = optimize(&m, m.max_useful_cache(), &OptimizerConfig::default()).unwrap();
+        let plan = cold_plan(&m, m.max_useful_cache());
         assert!(
             plan.objective < 1e-6,
             "all chunks cached should give ~0 latency, got {}",
@@ -339,7 +311,7 @@ mod tests {
     #[test]
     fn scheduling_is_consistent_with_cache_allocation() {
         let m = model(6, 0.02);
-        let plan = optimize(&m, 5, &OptimizerConfig::default()).unwrap();
+        let plan = cold_plan(&m, 5);
         for (i, f) in m.files().iter().enumerate() {
             let reads = plan.storage_reads(i);
             let expected = f.k as f64 - plan.cached_chunks[i] as f64;
@@ -362,7 +334,7 @@ mod tests {
         // tolerance 0.01 for its 1000-file instance; our smaller instances
         // must certainly meet that.
         let m = model(10, 0.01);
-        let plan = optimize(&m, 8, &OptimizerConfig::default()).unwrap();
+        let plan = cold_plan(&m, 8);
         assert!(
             plan.trace.outer_iterations() <= 20,
             "took {} iterations",
@@ -386,7 +358,7 @@ mod tests {
             FileModel::new(0.03, 2, vec![0, 1, 2, 3]),
         ];
         let m = StorageModel::new(nodes, files).unwrap();
-        let plan = optimize(&m, 2, &OptimizerConfig::default()).unwrap();
+        let plan = cold_plan(&m, 2);
         assert!(
             plan.cached_chunks[1] >= plan.cached_chunks[0],
             "hot file should be cached at least as much: {:?}",
@@ -396,26 +368,13 @@ mod tests {
     }
 
     #[test]
-    fn optimizer_entry_point_matches_the_free_functions_exactly() {
-        let m = model(8, 0.012);
-        let config = OptimizerConfig::default();
-        let optimizer = Optimizer::new(config);
-        let cold = optimizer.run(&m, 6).unwrap();
-        let legacy = optimize(&m, 6, &config).unwrap();
-        assert_eq!(cold.cached_chunks, legacy.cached_chunks);
-        assert_eq!(cold.scheduling, legacy.scheduling);
-        assert_eq!(cold.objective, legacy.objective);
-        let warm = optimizer.clone().warm_start(&cold).run(&m, 6).unwrap();
-        let legacy_warm = optimize_from(&m, 6, &config, &cold.scheduling).unwrap();
-        assert_eq!(warm.scheduling, legacy_warm.scheduling);
-        assert_eq!(warm.objective, legacy_warm.objective);
-    }
-
-    #[test]
     fn warm_start_matches_or_beats_cold_start() {
         let m = model(8, 0.012);
-        let cold = optimize(&m, 6, &OptimizerConfig::default()).unwrap();
-        let warm = optimize_from(&m, 6, &OptimizerConfig::default(), &cold.scheduling).unwrap();
+        let cold = cold_plan(&m, 6);
+        let warm = Optimizer::new(OptimizerConfig::default())
+            .warm_start_pi(cold.scheduling.clone())
+            .run(&m, 6)
+            .unwrap();
         assert!(warm.objective <= cold.objective + 0.02);
     }
 
@@ -429,7 +388,9 @@ mod tests {
         let m = StorageModel::new(nodes, files).unwrap();
         // Even with full caching allowed the initial (no-cache) point is
         // unstable; the optimizer reports the bottleneck.
-        let err = optimize(&m, 0, &OptimizerConfig::default()).unwrap_err();
+        let err = Optimizer::new(OptimizerConfig::default())
+            .run(&m, 0)
+            .unwrap_err();
         assert!(matches!(err, OptimizerError::UnstableSystem { .. }));
     }
 
@@ -440,8 +401,8 @@ mod tests {
             rounding: crate::config::RoundingStrategy::OneAtATime,
             ..OptimizerConfig::default()
         };
-        let one = optimize(&m, 4, &cfg).unwrap();
-        let frac = optimize(&m, 4, &OptimizerConfig::default()).unwrap();
+        let one = Optimizer::new(cfg).run(&m, 4).unwrap();
+        let frac = cold_plan(&m, 4);
         assert!((one.objective - frac.objective).abs() < 0.5);
         assert!(one.cache_chunks_used() <= 4);
     }

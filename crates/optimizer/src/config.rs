@@ -29,7 +29,7 @@ impl RoundingStrategy {
     }
 }
 
-/// Tunable parameters of [`crate::optimize`].
+/// Tunable parameters of [`crate::Optimizer`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct OptimizerConfig {
     /// Outer-loop convergence threshold `ε` on the objective decrease

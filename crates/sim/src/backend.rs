@@ -13,7 +13,7 @@
 //!   distribution; chunks are abstract. This is the fast path used for the
 //!   paper's latency experiments.
 //! * `StoreBackend` (in the `sprout` facade crate) — drives the real
-//!   `ErasureCodedStore`: actual coded bytes, degraded reads after node
+//!   `StoreHandle`: actual coded bytes, degraded reads after node
 //!   failures, cache contents, and a decode + verify on every completed
 //!   request.
 //!

@@ -21,7 +21,7 @@
 //!   parallel epoch-synchronized event loops ([`crate::shard`]); the
 //!   [`SimConfig::shards`] knob is purely an execution parameter and reports
 //!   are bit-identical at any value. Every random stream is keyed per entity
-//!   ([`stream_seed`]/[`plan_seed`] per file, [`service_seed`] per node) to
+//!   (`stream_seed`/`plan_seed` per file, `service_seed` per node) to
 //!   make that possible.
 //!
 //! The event-loop mechanics themselves (queues, slab, planning, epoch

@@ -1111,7 +1111,7 @@ mod tests {
     }
 
     #[test]
-    fn plan_partitions_disjoint_placement_groups() {
+    fn plan_partitions_disjoint_node_groups() {
         let sim = grouped_sim(4, 3, 5, 2, 0.1, SimConfig::new(100.0, 1));
         let plan = ShardPlan::with_shards(&sim, 4);
         assert_eq!(plan.num_components(), 4);

@@ -9,7 +9,7 @@
 //!
 //! Run with `cargo run --release --example ceph_style_testbed`.
 
-use sprout::cluster::{CachePolicy, ClusterConfig, DeviceModel, ErasureCodedStore};
+use sprout::cluster::{CachePolicy, ClusterConfig, DeviceModel, StoreHandle};
 use sprout::optimizer::{FileModel, Optimizer, OptimizerConfig, StorageModel};
 use sprout::workload::spec::MB;
 
@@ -28,7 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .cache_device(DeviceModel::ssd())
         .seed(99)
         .build();
-    let mut store = ErasureCodedStore::new(config)?;
+    let store = StoreHandle::new(config)?;
 
     // --- 2. Write the objects (really encoded and placed).
     println!(
@@ -96,7 +96,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .cache_policy(CachePolicy::None)
         .seed(99)
         .build();
-    let mut baseline = ErasureCodedStore::new(config)?;
+    let baseline = StoreHandle::new(config)?;
     for id in 0..num_objects {
         let data: Vec<u8> = (0..object_size)
             .map(|i| (i as u64 * 31 + id) as u8)

@@ -10,10 +10,12 @@
 //! * the cache tier's counters balance exactly against the operations the
 //!   threads performed: one hit-or-miss per get, one promotion per
 //!   `promote_object`, one eviction per successful `evict_cached`;
-//! * thread-private objects written mid-storm read back verbatim.
+//! * thread-private objects written mid-storm read back verbatim;
+//! * a plan swap racing a put of the same object never leaves chunks of the
+//!   replaced version in the cache.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -166,5 +168,60 @@ fn clones_hammering_disjoint_objects_never_interfere() {
         store.num_objects(),
         SHARED_OBJECTS as usize,
         "only the preloaded objects remain"
+    );
+}
+
+/// `set_cached_chunks` rebuilds cache chunks from the chunks on the nodes.
+/// If a put of the same object lands between that rebuild and the install,
+/// the cache holds chunks of the old version; with `d = k` every later get
+/// decodes from the cache alone and returns the old bytes. The store rules
+/// this out by holding the object's metadata-stripe lock across the rebuild
+/// and dropping the cache entry inside the put's write lock; this test
+/// races the two calls round after round and reads back the winner.
+#[test]
+fn a_plan_swap_racing_a_put_never_caches_the_old_version() {
+    const ROUNDS: u64 = 2_000;
+    const OBJECT_BYTES: usize = 64 * 1024;
+    let config = ClusterConfig::builder()
+        .nodes(NODES)
+        .code(CODE_N, CODE_K)
+        .cache_policy(CachePolicy::Functional)
+        .cache_capacity_bytes(64 * 1024 * 1024)
+        .seed(78)
+        .build();
+    let store = StoreHandle::new(config).expect("store builds");
+    let bases = [
+        synthetic_payload(0, OBJECT_BYTES, 5),
+        synthetic_payload(1, OBJECT_BYTES, 5),
+    ];
+    // Version i: one of two base payloads, stamped with the round number so
+    // consecutive versions always differ.
+    let version = |i: u64| {
+        let mut v = bases[(i % 2) as usize].clone();
+        v[..8].copy_from_slice(&i.to_le_bytes());
+        v
+    };
+    store.put(1, &version(0)).expect("initial put");
+    let mut stale = 0u64;
+    for i in 1..=ROUNDS {
+        let data = version(i);
+        let start = Barrier::new(2);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                start.wait();
+                store.put(1, &data).expect("put");
+            });
+            scope.spawn(|| {
+                start.wait();
+                store.set_cached_chunks(1, CODE_K).expect("plan swap");
+            });
+        });
+        if store.get(1, i as f64).expect("get").data != data {
+            stale += 1;
+        }
+    }
+    assert_eq!(
+        stale, 0,
+        "{stale} of {ROUNDS} gets returned a replaced version"
     );
 }

@@ -1,7 +1,7 @@
 //! End-to-end integration tests across the whole workspace: spec → optimizer
 //! → analytic bound → discrete-event simulation → byte-level cluster.
 
-use sprout::cluster::{CachePolicy, ClusterConfig, DeviceModel, ErasureCodedStore};
+use sprout::cluster::{CachePolicy, ClusterConfig, DeviceModel, StoreHandle};
 use sprout::optimizer::OptimizerConfig;
 use sprout::{CachePolicyChoice, SproutSystem, SystemSpec};
 
@@ -62,7 +62,7 @@ fn optimizer_plan_is_feasible_for_the_cluster_substrate() {
         .cache_capacity_bytes(6 * chunk_bytes)
         .seed(17)
         .build();
-    let mut store = ErasureCodedStore::new(config).unwrap();
+    let store = StoreHandle::new(config).unwrap();
 
     for (i, placement) in system.placements().iter().enumerate() {
         let data: Vec<u8> = (0..2 * chunk_bytes as usize)
